@@ -154,7 +154,6 @@ def _run_query(args: argparse.Namespace) -> int:
         except ValidationError as error:
             print(f"validation failed: {name}: {error}", file=sys.stderr)
             return 2
-    from .core.patterns import PatternError
     from .lang import QuerySyntaxError
 
     try:
@@ -177,7 +176,7 @@ def _run_query(args: argparse.Namespace) -> int:
                 engine=args.engine,
                 limit=args.limit,
             )
-    except (PatternError, QuerySyntaxError) as error:
+    except QuerySyntaxError as error:
         print(f"invalid query: {error}", file=sys.stderr)
         return 2
     total = 0
@@ -239,12 +238,14 @@ def _render_tree(tree) -> str:
 
 
 def cmd_decide(args: argparse.Namespace) -> int:
-    """Decide emptiness/containment of pattern queries over a DTD.
+    """Decide emptiness/containment of query strings over a DTD.
 
-    ``emptiness`` takes one pattern; ``containment`` takes two and asks
-    whether every node the first selects (on DTD-valid documents) is
-    selected by the second.  Exit codes: 0 = empty/contained, 1 = a
-    witness/counterexample was found (and printed), 2 = budget exceeded.
+    ``emptiness`` takes one query string; ``containment`` takes two and
+    asks whether every node the first selects (on DTD-valid documents)
+    is selected by the second.  Strings are dispatched like ``query``'s:
+    legacy patterns, ``xpath:…`` or ``mso:…``.  Exit codes: 0 =
+    empty/contained, 1 = a witness/counterexample was found (and
+    printed), 2 = budget exceeded or invalid query.
     """
     return _with_stats(args, lambda: _run_decide(args))
 
@@ -256,6 +257,7 @@ def _run_decide(args: argparse.Namespace) -> int:
         pattern_containment_counterexample,
         pattern_query_witness,
     )
+    from .lang import QuerySyntaxError
 
     dtd = parse_dtd(Path(args.dtd).read_text())
     expected = 1 if args.mode == "emptiness" else 2
@@ -277,6 +279,9 @@ def _run_decide(args: argparse.Namespace) -> int:
             verdict = "contained"
     except BudgetExceededError as error:
         print(f"budget exceeded: {error}", file=sys.stderr)
+        return 2
+    except QuerySyntaxError as error:
+        print(f"invalid query: {error}", file=sys.stderr)
         return 2
     if result is None:
         print(verdict)
@@ -383,7 +388,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     pipeline, and the packed decision procedures — every counter family
     of the metrics glossary shows up nonzero.
     """
-    from .core.patterns import PatternError
     from .decision.closure import BudgetExceededError
     from .lang import QuerySyntaxError
 
@@ -415,7 +419,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     except BudgetExceededError as error:
         print(f"budget exceeded: {error}", file=sys.stderr)
         code = 2
-    except (PatternError, QuerySyntaxError) as error:
+    except QuerySyntaxError as error:
         print(f"invalid query: {error}", file=sys.stderr)
         return 2
     workload = (
@@ -585,7 +589,8 @@ def build_parser() -> argparse.ArgumentParser:
     decide.add_argument(
         "patterns",
         nargs="+",
-        help="one pattern (emptiness) or two (containment: first ⊆ second)",
+        help="one query string (emptiness) or two (containment: first ⊆ second);"
+        " legacy, xpath: or mso:, as for query",
     )
     decide.add_argument(
         "--budget",

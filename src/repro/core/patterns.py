@@ -1,4 +1,4 @@
-"""A small XPath-like pattern language compiled to MSO queries.
+"""The legacy path-pattern language, rewritten into the XPath AST.
 
 The paper's motivation — *locating subtrees satisfying some pattern* in
 structured documents — deserves a front-end.  Patterns select nodes by a
@@ -18,10 +18,13 @@ pattern                meaning
 =====================  ==================================================
 
 Filters: ``first``, ``last`` (sibling position), ``leaf``, ``root``,
-``has(name)`` (a child labeled ``name``).  Compilation targets the MSO
-fragment of :mod:`repro.logic.syntax`; evaluation goes through the
-:class:`~repro.core.query.MSOQuery` machinery, i.e., ultimately through
-the paper's automata.
+``has(name)`` (a child labeled ``name``).  The language has no formula
+builder of its own: :func:`parse_pattern` rewrites a pattern into the
+:mod:`repro.lang.xpath` step AST — a leading ``child::*`` step for the
+(implicit) root element, ``/n`` as a ``child`` step, ``//n`` as a
+``descendant`` step, and each filter as the XPath predicate it
+abbreviates — and :func:`~repro.lang.xpath.lower_xpath` lowers it, so
+legacy patterns and ``xpath:`` queries meet at the same formulas.
 """
 
 from __future__ import annotations
@@ -29,75 +32,82 @@ from __future__ import annotations
 import re
 from collections.abc import Sequence
 
-from ..logic.syntax import (
-    And,
-    Edge,
-    Exists,
-    Formula,
-    Label,
-    Var,
-    first_sibling,
-    fresh_var,
-    last_sibling,
-    leaf,
-    root,
-)
+from ..lang.errors import QuerySyntaxError
+from ..lang.xpath import LocationPath, PredNot, PredPath, Step, lower_xpath
 from .query import MSOQuery
 
 
-class PatternError(ValueError):
-    """Raised for malformed patterns."""
+class PatternError(QuerySyntaxError):
+    """Raised for malformed patterns, located like any query syntax error."""
 
 
 _STEP = re.compile(r"(//|/)([\w#*-]+)((?:\[[^\]]*\])*)")
 _FILTER = re.compile(r"\[([^\]]*)\]")
+_HAS = re.compile(r"has\(([\w#*-]+)\)")
 
 
-def _descendant(ancestor: Var, descendant_var: Var) -> Formula:
-    """``ancestor`` is a proper ancestor of ``descendant_var``.
-
-    Uses the :class:`~repro.logic.syntax.Descendant` atom (compiled to a
-    constant-size automaton) rather than the MSO set-quantifier definition
-    :func:`repro.logic.syntax.ancestor` — semantically identical, far
-    cheaper to compile.
-    """
-    from ..logic.syntax import Descendant
-
-    return Descendant(ancestor, descendant_var)
+def _relative(axis: str, test: str) -> PredPath:
+    return PredPath(LocationPath(steps=(Step(axis, test),), absolute=False))
 
 
-def _label_test(var: Var, name: str, alphabet: Sequence[str]) -> Formula:
-    if name == "*":
-        # Any label: a disjunction over the alphabet (always true, but the
-        # compiler needs a concrete formula).
-        formulas = [Label(var, sigma) for sigma in alphabet]
-        out = formulas[0]
-        for formula in formulas[1:]:
-            out = out | formula
-        return out
-    return Label(var, name)
+#: Each positional filter is an XPath predicate on the step node.
+_FILTERS = {
+    "first": PredNot(_relative("preceding-sibling", "*")),
+    "last": PredNot(_relative("following-sibling", "*")),
+    "leaf": PredNot(_relative("child", "*")),
+    "root": PredNot(_relative("parent", "*")),
+}
 
 
-def _filter_formula(var: Var, text: str, alphabet: Sequence[str]) -> Formula:
+def _filter_predicate(text: str, source: str, offset: int):
     text = text.strip()
-    if text == "first":
-        return first_sibling(var)
-    if text == "last":
-        return last_sibling(var)
-    if text == "leaf":
-        return leaf(var)
-    if text == "root":
-        return root(var)
-    match = re.fullmatch(r"has\(([\w#*-]+)\)", text)
+    if text in _FILTERS:
+        return _FILTERS[text]
+    match = _HAS.fullmatch(text)
     if match:
-        child = fresh_var("h")
-        return Exists(child, And(Edge(var, child), _label_test(child, match.group(1), alphabet)))
-    raise PatternError(f"unknown filter {text!r}")
+        return _relative("child", match.group(1))
+    raise PatternError(f"unknown filter {text!r}", source, offset)
 
 
-def compile_pattern(
-    pattern: str, alphabet: Sequence[str], engine: str = "automaton"
-) -> MSOQuery:
+def parse_pattern(pattern: str) -> LocationPath:
+    """Rewrite a legacy pattern into an absolute XPath :class:`LocationPath`.
+
+    Names go into :attr:`Step.test` verbatim, so labels the XPath name
+    token would reject (Unicode, a leading digit) keep working.
+
+    >>> [(step.axis, step.test) for step in parse_pattern("//a/b").steps]
+    [('child', '*'), ('descendant', 'a'), ('child', 'b')]
+    """
+    lead = len(pattern) - len(pattern.lstrip())
+    body = pattern.strip()
+    if not body.startswith("/"):
+        raise PatternError("patterns must start with '/' or '//'", pattern, lead)
+    steps = [Step("child", "*")]
+    position = 0
+    while position < len(body):
+        match = _STEP.match(body, position)
+        if match is None:
+            raise PatternError(
+                f"cannot parse step at {body[position:]!r}", pattern, lead + position
+            )
+        axis, name, _ = match.groups()
+        predicates = tuple(
+            _filter_predicate(found.group(1), pattern, lead + found.start(1))
+            for found in _FILTER.finditer(body, match.start(3), match.end(3))
+        )
+        steps.append(
+            Step(
+                "child" if axis == "/" else "descendant",
+                name,
+                predicates,
+                offset=lead + position,
+            )
+        )
+        position = match.end()
+    return LocationPath(steps=tuple(steps))
+
+
+def compile_pattern(pattern: str, alphabet: Sequence[str]) -> MSOQuery:
     """Compile a pattern into an :class:`~repro.core.query.MSOQuery`.
 
     >>> from repro.trees.tree import Tree
@@ -105,45 +115,5 @@ def compile_pattern(
     >>> sorted(q.evaluate(Tree.parse("a(b, a(b), b(a))")))
     [(0,), (1, 0)]
     """
-    pattern = pattern.strip()
-    if not pattern.startswith("/"):
-        raise PatternError("patterns must start with '/' or '//'")
-    steps = []
-    position = 0
-    while position < len(pattern):
-        match = _STEP.match(pattern, position)
-        if match is None:
-            raise PatternError(f"cannot parse step at {pattern[position:]!r}")
-        axis, name, filters_text = match.groups()
-        filters = _FILTER.findall(filters_text)
-        steps.append((axis, name, filters))
-        position = match.end()
-
-    # Build the formula inside-out: x is the selected node; chain upward.
-    x = Var("x")
-    current = x
-    formula: Formula | None = None
-    for axis, name, filters in reversed(steps):
-        step_formula = _label_test(current, name, alphabet)
-        for filter_text in filters:
-            step_formula = And(step_formula, _filter_formula(current, filter_text, alphabet))
-        if formula is not None:
-            formula = And(step_formula, formula)
-        else:
-            formula = step_formula
-        parent = fresh_var("s")
-        if axis == "/":
-            link: Formula = Edge(parent, current)
-        else:
-            link = _descendant(parent, current)
-        formula = And(link, formula)
-        # Quantify the child position away (except the selected x itself).
-        if current is not x:
-            formula = Exists(current, formula)
-        current = parent
-    # ``current`` must be the root.
-    assert formula is not None
-    formula = And(root(current), formula)
-    if current is not x:
-        formula = Exists(current, formula)
-    return MSOQuery(formula, x, tuple(alphabet), engine=engine)
+    formula, var = lower_xpath(parse_pattern(pattern), alphabet)
+    return MSOQuery(formula, var, tuple(alphabet))

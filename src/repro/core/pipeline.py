@@ -31,7 +31,8 @@ def cached_pattern(pattern: str, alphabet: tuple) -> Query:
     :func:`repro.lang.compile_query_string`: ``"xpath:..."`` parses the
     XPath fragment, ``"mso:..."`` the MSO formula syntax (both defined
     in ``docs/QUERY_LANGUAGE.md``), and anything else is the legacy
-    :func:`repro.core.patterns.compile_pattern` language, unchanged.
+    pattern language, which :mod:`repro.core.patterns` rewrites into
+    the XPath step AST (``/book`` is ``xpath:/*/book``).
 
     The returned query object is shared, so its compiled marked-alphabet
     automaton — and the :mod:`repro.perf` engine keyed on it — survive

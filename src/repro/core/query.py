@@ -31,8 +31,17 @@ class Query:
         """The selected nodes of the tree."""
         raise NotImplementedError
 
+    #: The ``engine`` names a subclass documents (checked on construction).
+    ENGINES: tuple = ()
+
     def __call__(self, tree: Tree) -> frozenset[Path]:
         return self.evaluate(tree)
+
+    def __post_init__(self) -> None:
+        if self.engine not in self.ENGINES:
+            from ..perf.registry import unknown_engine
+
+            raise unknown_engine(self.engine, self.ENGINES)
 
 
 @dataclass
@@ -57,6 +66,7 @@ class MSOQuery(Query):
     _compiled: DeterministicUnrankedAutomaton | None = field(
         default=None, repr=False, compare=False
     )
+    ENGINES = ("naive", "automaton", "fast")
 
     def compiled(self) -> DeterministicUnrankedAutomaton:
         """The marked-alphabet automaton (compiled on first use)."""
@@ -89,6 +99,7 @@ class RankedAutomatonQuery(Query):
 
     automaton: RankedQueryAutomaton
     engine: str = "behavior"
+    ENGINES = ("simulate", "behavior")
 
     def evaluate(self, tree: Tree) -> frozenset[Path]:
         """Selected node paths of the tree."""
@@ -109,6 +120,7 @@ class UnrankedAutomatonQuery(Query):
 
     automaton: UnrankedQueryAutomaton
     engine: str = "behavior"
+    ENGINES = ("simulate", "behavior", "fast")
 
     def evaluate(self, tree: Tree) -> frozenset[Path]:
         """Selected node paths of the tree."""
@@ -131,6 +143,7 @@ class CompiledQuery(Query):
 
     automaton: DeterministicUnrankedAutomaton
     engine: str = "two_pass"
+    ENGINES = ("two_pass", "fast")
 
     def evaluate(self, tree: Tree) -> frozenset[Path]:
         """Selected node paths of the tree."""

@@ -8,7 +8,9 @@ questions reduce to NBTA^u emptiness over the marked alphabet
 * the DTD's derivation-tree automaton is lifted to marked labels
   (ignoring the bits);
 * a two-state automaton enforces exactly one marked node;
-* the pattern compiles (through MSO) to a deterministic bottom-up
+* the query string — legacy, ``xpath:`` or ``mso:``, dispatched by
+  :func:`repro.lang.compile_query_string` exactly as for ``repro
+  query`` — compiles (through MSO) to a deterministic bottom-up
   automaton over marked trees, used directly for emptiness and via its
   complement for containment.
 
@@ -19,7 +21,7 @@ of :mod:`repro.unranked.nbta`, and a ``budget`` caps the product size
 
 from __future__ import annotations
 
-from ..core.patterns import compile_pattern
+from ..lang import compile_query_string
 from ..strings.nfa import NFA
 from ..trees.dtd import DTD
 from ..trees.tree import Path, Tree
@@ -107,7 +109,7 @@ def pattern_query_witness(
 ) -> tuple[Tree, Path] | None:
     """A DTD-valid tree and node the pattern selects, or ``None``."""
     dtd_marked = _marked_dtd_automaton(dtd)
-    query = compile_pattern(pattern, sorted(dtd_marked.states, key=repr))
+    query = compile_query_string(pattern, sorted(dtd_marked.states, key=repr))
     product = (
         dtd_marked.intersection(_one_mark_automaton(dtd_marked.alphabet))
         .trimmed()
@@ -126,8 +128,8 @@ def pattern_containment_counterexample(
     """A DTD-valid (tree, node) selected by ``first`` but not ``second``."""
     dtd_marked = _marked_dtd_automaton(dtd)
     alphabet = sorted(dtd_marked.states, key=repr)
-    first_query = compile_pattern(first, alphabet)
-    second_query = compile_pattern(second, alphabet)
+    first_query = compile_query_string(first, alphabet)
+    second_query = compile_query_string(second, alphabet)
     product = (
         dtd_marked.intersection(_one_mark_automaton(dtd_marked.alphabet))
         .trimmed()

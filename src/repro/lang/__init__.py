@@ -1,30 +1,30 @@
 """Query-string frontend: XPath and MSO surface syntaxes.
 
 This package turns strings into the compiled unary MSO queries the rest
-of the library evaluates, in four stages shared by both syntaxes::
+of the library evaluates, in four stages shared by every syntax::
 
     tokenize ─→ parse ─→ lower ─→ compile
     (tokens)   (xpath/mso)  (logic.syntax)  (compile_trees / mso_to_sqa)
 
-Three surface syntaxes are dispatched by prefix in
-:func:`compile_query_string` (which backs the string overloads of
-``Document.select`` / ``Corpus.select``):
+Three surface syntaxes are dispatched by prefix in one place,
+:func:`lower_query_string`, behind both :func:`compile_query_string`
+(``Document.select`` / ``Corpus.select``) and :func:`compile_query_sqa`:
 
 * ``"xpath:..."`` — the XPath fragment of :mod:`repro.lang.xpath`
   (axes, ``//``, predicates with ``and``/``or``/``not()``).
 * ``"mso:..."`` — the MSO formula syntax of :mod:`repro.lang.mso`
   (quantifiers, set variables, ``lab_a(x)``, ``child``/``desc``).
 * anything else — the legacy path-pattern language of
-  :mod:`repro.core.patterns`, unchanged.
+  :mod:`repro.core.patterns`, which parses into the XPath step AST
+  (``/book`` is ``xpath:/*/book``) and lowers through
+  :func:`lower_xpath`.
 
-All three meet at the same :class:`~repro.core.query.MSOQuery`, so the
-compile cache, minimization, and every evaluation engine apply
-identically.  Errors anywhere in the frontend raise
+All three meet at a formula φ(x), so the compile cache, minimization,
+and every evaluation engine apply identically.  Errors raise
 :class:`QuerySyntaxError` with the character offset of the problem
 (relative to the query body, after any ``xpath:`` / ``mso:`` prefix).
-
 The grammar reference is ``docs/QUERY_LANGUAGE.md``; the ``lang.*``
-observability counters are listed in ``DESIGN.md``.
+counters are listed in ``DESIGN.md``.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ __all__ = [
     "QuerySyntaxError",
     "compile_query_sqa",
     "compile_query_string",
+    "lower_query_string",
     "lower_xpath",
     "mso_query",
     "parse_mso",
@@ -59,23 +60,33 @@ def split_prefix(pattern: str) -> tuple[str | None, str]:
     return None, pattern
 
 
-def compile_query_string(pattern: str, alphabet: Sequence[str], engine: str = "automaton"):
-    """Compile any supported query string into an :class:`~repro.core.query.MSOQuery`.
+def lower_query_string(pattern: str, alphabet: Sequence[str]):
+    """Lower any supported query string to ``(φ, x)``, dispatching on prefix.
 
-    Dispatches on prefix: ``"xpath:"`` → :func:`xpath_query`, ``"mso:"``
-    → :func:`mso_query`, no prefix → the legacy
-    :func:`repro.core.patterns.compile_pattern` language.  ``engine``
-    selects the query representation exactly as for
-    ``compile_pattern`` (``"automaton"`` or ``"sqa"``).
+    ``"xpath:"`` → :func:`parse_xpath`, ``"mso:"`` →
+    :func:`parse_mso_query`, no prefix → the legacy
+    :func:`repro.core.patterns.parse_pattern`; the XPath and legacy
+    paths both lower through :func:`lower_xpath`.
     """
     kind, body = split_prefix(pattern)
-    if kind == "xpath":
-        return xpath_query(body, alphabet, engine=engine)
     if kind == "mso":
-        return mso_query(body, alphabet, engine=engine)
-    from ..core.patterns import compile_pattern
+        return parse_mso_query(body)
+    if kind == "xpath":
+        path = parse_xpath(body)
+    else:
+        from ..core.patterns import parse_pattern
 
-    return compile_pattern(pattern, alphabet, engine=engine)
+        path = parse_pattern(pattern)
+    return lower_xpath(path, alphabet)
+
+
+def compile_query_string(pattern: str, alphabet: Sequence[str]):
+    """:func:`lower_query_string`'s formula as an :class:`~repro.core.query.MSOQuery`
+    (compiled to the Theorem 5.4 automaton on first evaluation)."""
+    from ..core.query import MSOQuery
+
+    formula, var = lower_query_string(pattern, alphabet)
+    return MSOQuery(formula, var, tuple(alphabet))
 
 
 def compile_query_sqa(pattern: str, alphabet: Sequence[str], engine: str = "optimized"):
@@ -87,14 +98,5 @@ def compile_query_sqa(pattern: str, alphabet: Sequence[str], engine: str = "opti
     """
     from ..unranked.mso_to_sqa import build_query_sqa
 
-    kind, body = split_prefix(pattern)
-    if kind == "xpath":
-        formula, var = lower_xpath(parse_xpath(body), alphabet)
-    elif kind == "mso":
-        formula, var = parse_mso_query(body)
-    else:
-        from ..core.patterns import compile_pattern
-
-        query = compile_pattern(pattern, alphabet)
-        formula, var = query.formula, query.var
+    formula, var = lower_query_string(pattern, alphabet)
     return build_query_sqa(formula, var, tuple(alphabet), engine=engine)

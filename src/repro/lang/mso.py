@@ -322,7 +322,7 @@ def parse_mso_query(source: str) -> tuple[Formula, Var]:
     return formula, var
 
 
-def mso_query(source: str, alphabet: Sequence[str], engine: str = "automaton"):
+def mso_query(source: str, alphabet: Sequence[str]):
     """Compile an MSO query string into an :class:`~repro.core.query.MSOQuery`.
 
     >>> from repro.trees.tree import Tree
@@ -333,4 +333,4 @@ def mso_query(source: str, alphabet: Sequence[str], engine: str = "automaton"):
     from ..core.query import MSOQuery
 
     formula, var = parse_mso_query(source)
-    return MSOQuery(formula, var, tuple(alphabet), engine=engine)
+    return MSOQuery(formula, var, tuple(alphabet))

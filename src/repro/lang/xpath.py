@@ -498,7 +498,7 @@ def lower_xpath(
     return formula, x
 
 
-def xpath_query(source: str, alphabet: Sequence[str], engine: str = "automaton"):
+def xpath_query(source: str, alphabet: Sequence[str]):
     """Compile an XPath query string into an :class:`~repro.core.query.MSOQuery`.
 
     The formula compiles through
@@ -515,4 +515,4 @@ def xpath_query(source: str, alphabet: Sequence[str], engine: str = "automaton")
     from ..core.query import MSOQuery
 
     formula, var = lower_xpath(parse_xpath(source), alphabet)
-    return MSOQuery(formula, var, tuple(alphabet), engine=engine)
+    return MSOQuery(formula, var, tuple(alphabet))

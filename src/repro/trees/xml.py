@@ -132,15 +132,8 @@ class _Parser:
             return XMLElement(tag, attributes)
         self.expect(">")
         element = XMLElement(tag, attributes)
+        text: list[str] = []  # since the last tag: "x<!--c-->y" is one chunk
         while True:
-            if self.peek("</"):
-                self.pos += 2
-                closing = self.parse_name()
-                if closing != tag:
-                    raise self.error(f"mismatched closing tag {closing!r} for {tag!r}")
-                self.skip_whitespace()
-                self.expect(">")
-                return element
             if self.peek("<!--"):
                 end = self.text.find("-->", self.pos)
                 if end < 0:
@@ -148,14 +141,25 @@ class _Parser:
                 self.pos = end + 3
                 continue
             if self.peek("<"):
-                element.content.append(self.parse_element())
-                continue
+                if text:
+                    chunk = "".join(text).strip()
+                    if chunk:
+                        element.content.append(chunk)
+                    text = []
+                if not self.peek("</"):
+                    element.content.append(self.parse_element())
+                    continue
+                self.pos += 2
+                closing = self.parse_name()
+                if closing != tag:
+                    raise self.error(f"mismatched closing tag {closing!r} for {tag!r}")
+                self.skip_whitespace()
+                self.expect(">")
+                return element
             end = self.text.find("<", self.pos)
             if end < 0:
                 raise self.error(f"unterminated element {tag!r}")
-            chunk = _unescape(self.text[self.pos : end])
-            if chunk.strip():
-                element.content.append(chunk.strip())
+            text.append(_unescape(self.text[self.pos : end]))
             self.pos = end
 
 

@@ -91,6 +91,17 @@ class TestDecideCLI:
     def test_wrong_pattern_count(self, dtd_file, capsys):
         assert main(["decide", "containment", dtd_file, "//author"]) == 2
 
+    def test_prefixed_query_strings(self, dtd_file, capsys):
+        assert main(["decide", "emptiness", dtd_file, "xpath:/*//author"]) == 1
+        assert (
+            main(["decide", "containment", dtd_file, "mso:lab_author(x)", "//author"])
+            == 0
+        )
+
+    def test_invalid_query_exits_2(self, dtd_file, capsys):
+        assert main(["decide", "emptiness", dtd_file, "author"]) == 2
+        assert "invalid query" in capsys.readouterr().err
+
 
 class TestStatsFlag:
     def _stderr_report(self, err: str) -> dict:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.patterns import PatternError, compile_pattern
 from repro.core.pipeline import Document, ValidationError, run_pattern
+from repro.core.query import MSOQuery
 from repro.trees.dtd import BIBLIOGRAPHY_DTD, parse_dtd
 from repro.trees.tree import Tree
 from repro.trees.xml import BIBLIOGRAPHY_EXAMPLE
@@ -52,8 +53,8 @@ class TestPatterns:
         from repro.trees.generators import enumerate_trees
 
         for pattern in ["/a", "//b", "//a[leaf]", "/a/b"]:
-            fast = compile_pattern(pattern, ["a", "b"], engine="automaton")
-            slow = compile_pattern(pattern, ["a", "b"], engine="naive")
+            fast = compile_pattern(pattern, ["a", "b"])
+            slow = MSOQuery(fast.formula, fast.var, fast.alphabet, engine="naive")
             for tree in enumerate_trees(["a", "b"], 4)[:60]:
                 assert fast.evaluate(tree) == slow.evaluate(tree), (
                     pattern, str(tree)
@@ -155,3 +156,197 @@ class TestEditTextCoalescing:
         fresh = Document.from_text(serialize(edited.element))
         for query in ("//#text", "//b", "//*"):
             assert edited.select(query) == fresh.select(query), query
+
+
+def _legacy_select(pattern_steps, tree):
+    """Direct evaluator of the legacy pattern semantics (the oracle).
+
+    The context starts at the root; ``/n`` moves to children, ``//n`` to
+    proper descendants; ``*`` matches any label; filters test sibling
+    position, leafness, rootness, or a child's label.
+    """
+
+    def label_ok(path, name):
+        return name == "*" or tree.label_at(path) == name
+
+    def filter_ok(path, text):
+        if text == "first":
+            return not path or path[-1] == 0
+        if text == "last":
+            return not path or path[-1] == tree.arity_at(path[:-1]) - 1
+        if text == "leaf":
+            return tree.arity_at(path) == 0
+        if text == "root":
+            return not path
+        name = text[len("has(") : -1]
+        return any(
+            label_ok(path + (index,), name) for index in range(tree.arity_at(path))
+        )
+
+    nodes = list(tree.nodes())
+    context = {()}
+    for axis, name, filters in pattern_steps:
+        context = {
+            path
+            for path in nodes
+            if any(
+                len(path) > len(start)
+                and path[: len(start)] == start
+                and (axis == "//" or len(path) == len(start) + 1)
+                for start in context
+            )
+            and label_ok(path, name)
+            and all(filter_ok(path, text) for text in filters)
+        }
+    return frozenset(context)
+
+
+def _random_legacy_pattern(rng, max_steps=3):
+    """1 to ``max_steps`` steps, each ``/`` or ``//`` and a label or ``*``,
+    plus up to two filters spread over the steps; returns ``(text, steps)``."""
+    filters = ["first", "last", "leaf", "root", "has(a)", "has(b)", "has(*)"]
+    steps = [
+        (rng.choice(["/", "//"]), rng.choice(["a", "b", "*"]), [])
+        for _ in range(rng.randint(1, max_steps))
+    ]
+    for _ in range(rng.randint(0, 2)):
+        rng.choice(steps)[2].append(rng.choice(filters))
+    text = "".join(
+        axis + name + "".join(f"[{f}]" for f in chosen)
+        for axis, name, chosen in steps
+    )
+    return text, steps
+
+
+def _random_trees():
+    from repro.trees.generators import random_tree
+
+    return [
+        random_tree(size, ["a", "b"], seed_or_rng=seed)
+        for seed, size in enumerate([1, 2, 3, 4, 5, 6, 7, 9, 12] * 2)
+    ]
+
+
+class TestLegacyDifferential:
+    """Seeded random legacy patterns against a direct Python evaluator.
+
+    Every pattern's formula is model-checked by the logic engine (cheap
+    at any step count); single-step patterns also run through the
+    compiled automaton, whose compile cost grows steeply with the number
+    of nested steps.
+    """
+
+    def test_pattern_formulas_match_the_oracle(self):
+        import random
+
+        rng = random.Random(2024)
+        trees = _random_trees()
+        for _ in range(150):
+            pattern, steps = _random_legacy_pattern(rng)
+            query = compile_pattern(pattern, ["a", "b"])
+            oracle = MSOQuery(query.formula, query.var, query.alphabet, engine="naive")
+            for tree in trees:
+                assert oracle.evaluate(tree) == _legacy_select(steps, tree), (
+                    pattern, str(tree)
+                )
+
+    def test_compiled_single_step_patterns_match_the_oracle(self):
+        import random
+
+        rng = random.Random(7)
+        trees = _random_trees()
+        for _ in range(10):
+            pattern, steps = _random_legacy_pattern(rng, max_steps=1)
+            query = compile_pattern(pattern, ["a", "b"])
+            for tree in trees:
+                assert query.evaluate(tree) == _legacy_select(steps, tree), (
+                    pattern, str(tree)
+                )
+
+
+class TestLegacyRewrite:
+    """Legacy patterns are XPath step ASTs under another spelling."""
+
+    def test_errors_are_located_query_syntax_errors(self):
+        from repro.lang import QuerySyntaxError
+
+        cases = [("book", 0), ("  book", 2), ("//a[oops]", 4), ("/a/", 2)]
+        for pattern, offset in cases:
+            with pytest.raises(QuerySyntaxError) as excinfo:
+                compile_pattern(pattern, ["a"])
+            assert isinstance(excinfo.value, PatternError)
+            assert excinfo.value.source == pattern
+            assert excinfo.value.offset == offset, pattern
+
+    def test_labels_outside_the_xpath_name_token(self):
+        query = compile_pattern("//é/2x", ["a", "é", "2x"])
+        tree = Tree.parse("a(é(2x, a), 2x)")
+        assert query.evaluate(tree) == frozenset({(0, 0)})
+
+    def test_rewrite_table_matches_xpath_formulas(self):
+        """Each ``*``-free row of the docs table lowers to the same
+        canonical formula as its ``xpath:`` rewrite."""
+        import importlib.util
+        from pathlib import Path
+
+        from repro.lang import xpath_query
+        from repro.perf.compile import canonical_key
+
+        repo = Path(__file__).resolve().parents[2]
+        spec = importlib.util.spec_from_file_location(
+            "check_docs", repo / "tools" / "check_docs.py"
+        )
+        check_docs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(check_docs)
+        rows = check_docs.rewrite_table(repo / "docs" / "QUERY_LANGUAGE.md")
+        alphabet = ["book", "author", "year", "title"]
+        checked = 0
+        for legacy, rewrite in rows:
+            if "*" in legacy:
+                continue
+            old = compile_pattern(legacy, alphabet)
+            new = xpath_query(rewrite[len("xpath:") :], alphabet)
+            assert canonical_key(old.formula, (old.var,)) == canonical_key(
+                new.formula, (new.var,)
+            ), (legacy, rewrite)
+            checked += 1
+        assert checked >= 5
+
+    def test_filters_lower_to_the_logic_helpers(self):
+        """``//a[f]`` is ∃s (root(s) ∧ Descendant(s, x) ∧ O_a(x) ∧ f(x))
+        with ``f`` the :mod:`repro.logic.syntax` helper of the filter."""
+        from repro.logic.syntax import (
+            And,
+            Descendant,
+            Edge,
+            Exists,
+            Label,
+            Var,
+            first_sibling,
+            fresh_var,
+            last_sibling,
+            leaf,
+            root,
+        )
+        from repro.perf.compile import canonical_key
+
+        def has_b(node):
+            child = fresh_var("h")
+            return Exists(child, And(Edge(node, child), Label(child, "b")))
+
+        helpers = {
+            "first": first_sibling,
+            "last": last_sibling,
+            "leaf": leaf,
+            "root": root,
+            "has(b)": has_b,
+        }
+        x, s = Var("x"), Var("s")
+        for text, helper in helpers.items():
+            expected = Exists(
+                s, And(root(s), And(Descendant(s, x), And(Label(x, "a"), helper(x))))
+            )
+            query = compile_pattern(f"//a[{text}]", ["a", "b"])
+            assert canonical_key(query.formula, (query.var,)) == canonical_key(
+                expected, (x,)
+            ), text

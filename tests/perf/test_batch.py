@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.patterns import compile_pattern
 from repro.core.pipeline import Document, batch_select, cached_pattern
-from repro.core.query import CompiledQuery, UnrankedAutomatonQuery
+from repro.core.query import CompiledQuery, MSOQuery, UnrankedAutomatonQuery
 from repro.perf import batch_evaluate, evaluate_one
 from repro.strings.examples import odd_ones_gsqa, odd_ones_query_automaton
 from repro.trees.generators import random_tree
@@ -48,7 +48,7 @@ class TestDispatch:
         labels = ("a", "b")
         tree = random_tree(9, list(labels), seed_or_rng=5)
         query = compile_pattern("//a", labels)
-        fast = compile_pattern("//a", labels, engine="fast")
+        fast = MSOQuery(query.formula, query.var, query.alphabet, engine="fast")
         assert fast.evaluate(tree) == query.evaluate(tree)
         qa = circuit_query_automaton()
         from repro.trees.generators import random_unranked_circuit

@@ -95,3 +95,51 @@ class TestUniformMessage:
                 call()
             messages.add(str(excinfo.value))
         assert messages == {MESSAGE}
+
+
+class TestQueryObjects:
+    """The query classes reject unknown engines when constructed."""
+
+    def test_each_class_lists_its_documented_engines(self):
+        from repro.core.query import (
+            CompiledQuery,
+            MSOQuery,
+            RankedAutomatonQuery,
+            UnrankedAutomatonQuery,
+        )
+        from repro.logic.syntax import Label, Var
+
+        x = Var("x")
+        cases = [
+            (
+                lambda: MSOQuery(Label(x, "a"), x, ("a",), engine="numpy"),
+                "unknown engine 'numpy': valid engines are "
+                "'naive', 'automaton', 'fast'",
+            ),
+            (
+                lambda: RankedAutomatonQuery(None, engine="numpy"),
+                "unknown engine 'numpy': valid engines are "
+                "'simulate', 'behavior'",
+            ),
+            (
+                lambda: UnrankedAutomatonQuery(None, engine="numpy"),
+                "unknown engine 'numpy': valid engines are "
+                "'simulate', 'behavior', 'fast'",
+            ),
+            (
+                lambda: CompiledQuery(None, engine="numpy"),
+                "unknown engine 'numpy': valid engines are 'two_pass', 'fast'",
+            ),
+        ]
+        for build, message in cases:
+            with pytest.raises(ValueError) as excinfo:
+                build()
+            assert str(excinfo.value) == message
+
+    def test_documented_engines_construct(self):
+        from repro.core.query import MSOQuery
+        from repro.logic.syntax import Label, Var
+
+        x = Var("x")
+        for engine in MSOQuery.ENGINES:
+            assert MSOQuery(Label(x, "a"), x, ("a",), engine=engine).engine == engine

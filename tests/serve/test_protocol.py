@@ -147,6 +147,19 @@ def test_query_syntax_error_carries_offset(server):
     assert error["line"] >= 1 and error["column"] >= 1
 
 
+def test_legacy_pattern_error_is_query_syntax(server):
+    response = rpc(server, {"op": "query", "doc": "bib", "query": "book"})
+    error = response["error"]
+    assert error["kind"] == "query-syntax"
+    assert (error["offset"], error["line"], error["column"]) == (0, 1, 1)
+    bad_filter = rpc(
+        server, {"op": "query", "doc": "bib", "query": "//book[oops]"}
+    )["error"]
+    assert bad_filter["kind"] == "query-syntax"
+    assert bad_filter["offset"] == len("//book[")
+    assert bad_filter["column"] == len("//book[") + 1
+
+
 def test_unknown_engine_is_structured(server):
     response = rpc(
         server,

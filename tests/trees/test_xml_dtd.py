@@ -67,6 +67,15 @@ class TestXMLParsing:
         )
         assert again.tag == "bibliography"
 
+    def test_comment_between_text_keeps_one_chunk(self):
+        # A comment does not split the text around it: two adjacent
+        # chunks would serialize to one run and reparse as one leaf.
+        for text in ("<a>x<!--c-->y<b/></a>", "<a>x <!--c--> y<!--d-->z</a>"):
+            tree = parse_to_tree(text)
+            assert parse_to_tree(serialize(parse_document(text))) == tree
+        assert parse_document("<a>x<!--c-->y<b/></a>").content[0] == "xy"
+        assert str(parse_to_tree("<a>x<!--c-->y<b/></a>")) == "a(#text, b)"
+
 
 class TestDTD:
     def test_figure_2_validates_figure_1(self):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation lints, run by the CI ``docs`` job.
 
-Four checks, all dependency-free:
+Five checks, all dependency-free:
 
 1. **Docstring coverage** over ``src/repro``: every module, public
    class, and public function/method should carry a docstring.  The
@@ -21,6 +21,10 @@ Four checks, all dependency-free:
    (:data:`repro.serve.protocol.OPS` / ``ERROR_KINDS``), and every
    frame line in its ```` ```json ```` fences must be well-formed —
    a JSON object whose ``op`` / ``error.kind`` the server knows.
+5. **Legacy rewrite table**: every row of the legacy → ``xpath:`` table
+   in docs/QUERY_LANGUAGE.md must compile through the real
+   :func:`repro.core.patterns.compile_pattern` (legacy column) and
+   parse through :func:`repro.lang.parse_xpath` (rewrite column).
 
 Exit code 0 when all pass; 1 with a report otherwise.
 """
@@ -44,6 +48,10 @@ _LANG_FENCE = re.compile(r"```([a-zA-Z-]*)\n(.*?)```", re.DOTALL)
 
 #: A fenced code block; group 1 is the body.
 _FENCE = re.compile(r"```[a-z]*\n(.*?)```", re.DOTALL)
+
+#: The header row of the legacy → ``xpath:`` rewrite table, and its rows.
+_REWRITE_HEADER = "| legacy pattern | `xpath:` rewrite |"
+_REWRITE_ROW = re.compile(r"\|\s*`([^`]+)`\s*\|\s*`xpath:([^`]+)`\s*\|")
 
 #: Prefixed query-string literals and CLI query flags inside fences.
 _PREFIXED = re.compile(r"""["'](xpath|mso):(.*?)["']""")
@@ -221,6 +229,41 @@ def check_query_strings(root: Path) -> tuple[int, list[str]]:
     return checked, problems
 
 
+def rewrite_table(path: Path) -> list[tuple[str, str]]:
+    """``(legacy, "xpath:…")`` for each row of the legacy rewrite table."""
+    lines = path.read_text().splitlines()
+    if _REWRITE_HEADER not in lines:
+        return []
+    rows = []
+    for line in lines[lines.index(_REWRITE_HEADER) + 2 :]:
+        match = _REWRITE_ROW.fullmatch(line.strip())
+        if match is None:
+            break
+        rows.append((match.group(1), "xpath:" + match.group(2)))
+    return rows
+
+
+def check_rewrite_table(path: Path) -> tuple[int, list[str]]:
+    """(checked, problems): both columns of the table through the real parsers."""
+    from repro.core.patterns import compile_pattern
+    from repro.lang import QuerySyntaxError, parse_xpath
+
+    rows = rewrite_table(path)
+    if not rows:
+        return 0, [f"{path.name}: no legacy rewrite table found"]
+    problems: list[str] = []
+    for legacy, rewrite in rows:
+        for compile_one, query in (
+            (lambda text: compile_pattern(text, ()), legacy),
+            (lambda text: parse_xpath(text[len("xpath:") :]), rewrite),
+        ):
+            try:
+                compile_one(query)
+            except QuerySyntaxError as error:
+                problems.append(f"{path.name}: {query!r} — {error}")
+    return len(rows), problems
+
+
 def main() -> int:
     """Run both checks and print a report."""
     failures = 0
@@ -254,6 +297,16 @@ def main() -> int:
     if query_problems:
         failures += 1
         for line in query_problems:
+            print(f"  {line}")
+
+    checked, table_problems = check_rewrite_table(
+        REPO / "docs" / "QUERY_LANGUAGE.md"
+    )
+    print(f"legacy rewrite table: {checked} rows, "
+          f"{len(table_problems)} problem(s)")
+    if table_problems:
+        failures += 1
+        for line in table_problems:
             print(f"  {line}")
 
     checked, serve_problems = check_serve_doc(REPO / "docs" / "SERVE.md")
